@@ -16,6 +16,7 @@ from repro.kernels.bitparallel_lcs import BitParallelLCSKernel
 from repro.kernels.registry import (
     block_sweep,
     kernel_tier_enabled,
+    kernel_tier_requested,
     price_path_fast,
     register_kernel,
     registered_kernels,
@@ -33,6 +34,7 @@ __all__ = [
     "block_sweep",
     "get_backend",
     "kernel_tier_enabled",
+    "kernel_tier_requested",
     "price_path_fast",
     "register_kernel",
     "registered_kernels",

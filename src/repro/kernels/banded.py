@@ -55,9 +55,9 @@ class BandedBlockKernel(StageBlockKernel):
         "back dense) with the match-score plane spot-checked against "
         "match_score on the first and last rows; per call the input width "
         "must equal the stage-lo band width and the registry cross-checks "
-        "the first block stage (values, preds, and capture state) against "
-        "the dense kernel bit-for-bit; the width-1 selector stage always "
-        "runs dense"
+        "the first and last block stages (values, preds, and capture "
+        "state) against the dense kernel bit-for-bit; the width-1 selector "
+        "stage always runs dense"
     )
 
     def fingerprint(self, problem) -> tuple:
@@ -123,8 +123,9 @@ class BandedBlockKernel(StageBlockKernel):
             return None
         MS = np.ascontiguousarray(np.where(valid, scores, 0.0), dtype=np.float64)
         # Spot-check the plane against the dense scoring on the first and
-        # last rows (the registry re-verifies the first dispatched stage
-        # per call; this catches plan-layout bugs early and cheaply).
+        # last rows (the registry re-verifies the first and last
+        # dispatched stages per call; this catches plan-layout bugs early
+        # and cheaply).
         for i in (1, n):
             d0, d1 = int(geom[i - 1, 4]), int(geom[i - 1, 5])
             if d0 < d1:

@@ -12,9 +12,9 @@ exactly like the PR 5 sparse fix-up kernel.  Plans are only built when
 the problem's transforms are provably representable in the kernel's
 layout; every dispatch re-checks its input against the dense kernel's
 expectations and returns ``None`` (automatic dense fallback) on any
-mismatch; and the registry cross-checks the first block stage against
-the dense per-stage kernel bit-for-bit before accepting a sweep
-(:func:`repro.kernels.registry.block_sweep`).  Each kernel class
+mismatch; and the registry cross-checks the first and the last block
+stage against the dense per-stage kernel bit-for-bit before accepting a
+sweep (:func:`repro.kernels.registry.block_sweep`).  Each kernel class
 documents its gate in ``bit_identity_gate`` — a declaration the
 registry enforces at registration time and ``repro lint`` (REP006)
 enforces statically.

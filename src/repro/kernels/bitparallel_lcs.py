@@ -54,8 +54,8 @@ class BitParallelLCSKernel(StageBlockKernel):
         "and no negative zeros, and the block is accepted only when a "
         "dense-op scan replay of the decoded rows reproduces them "
         "byte-for-byte (inductive exactness proof from the input vector); "
-        "the registry additionally cross-checks the first stage against "
-        "the dense kernel and the selector stage always runs dense"
+        "the registry additionally cross-checks the first and last stages "
+        "against the dense kernel and the selector stage always runs dense"
     )
 
     def fingerprint(self, problem) -> tuple:

@@ -47,8 +47,8 @@ class ViterbiBlockKernel(StageBlockKernel):
         "plan built only when the trellis satisfies pred[:,1] == pred[:,0]+1 "
         "and the preplanned branch-metric matrix reproduces _branch_metrics "
         "row-for-row; per call the input must be a float64 vector of width S "
-        "and the registry cross-checks the first block stage against "
-        "apply_stage_with_pred bit-for-bit, falling back to the dense path "
+        "and the registry cross-checks the first and last block stages "
+        "against apply_stage_with_pred bit-for-bit, falling back to the dense path "
         "otherwise; selector stages always run dense"
     )
 

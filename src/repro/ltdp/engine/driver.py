@@ -355,6 +355,7 @@ def solve_parallel(
             problem,
             keep_stage_vectors=options.keep_stage_vectors,
             with_metrics=True,
+            use_kernels=options.use_kernels,
         )
         return solution
 

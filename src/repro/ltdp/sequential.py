@@ -5,7 +5,11 @@ products ``p_i = A_i ⋆ s_{i-1}``.  Backward phase: follow predecessors
 from subproblem 0 of the last stage.
 
 This is both the correctness reference for the parallel algorithm and
-the baseline whose (modeled or measured) runtime defines speedup.
+the baseline whose (modeled or measured) runtime defines speedup.  The
+forward phase runs through the gated kernel tier (:mod:`repro.kernels`)
+where a kernel accepts the whole instance, so the baseline is the
+fastest sequential solve, not only the literal loop;
+``use_kernels=False`` pins the literal loop.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ def forward_sequential(
     problem: LTDPProblem,
     *,
     keep_stage_vectors: bool = False,
+    use_kernels: bool | None = None,
 ) -> tuple[
     np.ndarray,
     list[np.ndarray | None],
@@ -39,9 +44,21 @@ def forward_sequential(
     For ``tracks_stage_objective`` problems ``best_objective`` is the
     running ``(value, stage, cell)`` reduction (earliest stage wins
     ties); otherwise ``None``.
+
+    ``use_kernels`` is the kernel tier's tri-state (see
+    :func:`repro.kernels.kernel_tier_requested`).  When the tier is on
+    and a gated :func:`repro.kernels.block_sweep` over stages ``1..n``
+    is accepted, the loop reads the sweep's rows — byte-identical to the
+    dense ones — instead of applying each stage; otherwise it applies
+    each stage itself.
     """
     n = problem.num_stages
     s = problem.initial_vector()
+    from repro.kernels import block_sweep, kernel_tier_requested
+
+    sweep = None
+    if kernel_tier_requested(use_kernels, problem):
+        sweep = block_sweep(problem, 0, n, s)
     pred: list[np.ndarray | None] = [None] * (n + 1)
     vectors: list[np.ndarray] | None = [s.copy()] if keep_stage_vectors else None
     best: tuple[float, int, int] | None = None
@@ -49,8 +66,13 @@ def forward_sequential(
         val, cell = problem.stage_objective(0, s)
         best = (val, 0, cell)
     for i in range(1, n + 1):
-        s, p = problem.apply_stage_with_pred(i, s)
-        if is_zero_vector(s):
+        if sweep is None:
+            s, p = problem.apply_stage_with_pred(i, s)
+            zero = is_zero_vector(s)
+        else:
+            s, p = sweep.values[i - 1], sweep.preds[i - 1]
+            zero = sweep.zero_index == i - 1
+        if zero:
             raise ZeroVectorError(
                 f"stage {i} produced an all--inf vector; the instance has a "
                 "trivial transformation (see paper §4.5)"
@@ -62,6 +84,8 @@ def forward_sequential(
             val, cell = problem.stage_objective(i, s)
             if val > best[0]:
                 best = (val, i, cell)
+    if sweep is not None:
+        s = s.copy()  # a sweep row is a view: do not pin the whole block
     return s, pred, vectors, best
 
 
@@ -117,15 +141,22 @@ def solve_sequential(
     *,
     keep_stage_vectors: bool = False,
     with_metrics: bool = False,
+    use_kernels: bool | None = None,
 ) -> LTDPSolution:
     """Solve an LTDP instance with the sequential algorithm (Fig 2).
 
     With ``with_metrics`` the run is recorded as a single-processor
     :class:`RunMetrics` so the cost model can price it consistently
     with parallel runs.
+
+    ``use_kernels`` takes the same tri-state as
+    ``ParallelOptions.use_kernels``: ``False`` runs the literal Fig 2
+    loop, ``None`` (auto) uses the kernel tier unless
+    ``REPRO_KERNELS`` switches it off, ``True`` forces the tier.  The
+    tier is gated to bit-identity, so the solution is the same.
     """
     final, pred, vectors, best = forward_sequential(
-        problem, keep_stage_vectors=keep_stage_vectors
+        problem, keep_stage_vectors=keep_stage_vectors, use_kernels=use_kernels
     )
     if best is not None:
         score, obj_stage, obj_cell = best

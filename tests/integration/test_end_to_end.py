@@ -57,7 +57,7 @@ PROBLEMS = build_problems()
 
 @pytest.fixture(scope="module")
 def sequential_solutions():
-    return {name: solve_sequential(p) for name, p in PROBLEMS.items()}
+    return {name: solve_sequential(p, use_kernels=False) for name, p in PROBLEMS.items()}
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -103,7 +103,7 @@ def test_extracts_agree_between_sequential_and_parallel():
     rng = np.random.default_rng(5)
     a, b = homologous_pair(100, rng, divergence=0.1)
     problem = LCSProblem(a, b, width=14)
-    seq = solve_sequential(problem)
+    seq = solve_sequential(problem, use_kernels=False)
     par = solve_parallel(problem, num_procs=6)
     np.testing.assert_array_equal(problem.extract(seq), problem.extract(par))
 

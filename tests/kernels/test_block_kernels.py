@@ -139,7 +139,11 @@ class TestBlockSweepBitIdentity:
 
 
 class _ToyKernel(StageBlockKernel):
-    """Test stub: computes ``v + stage_index`` per stage, optionally lying."""
+    """Test stub: computes ``v + stage_index`` per stage, optionally lying.
+
+    ``lie=True`` is wrong at every stage; ``lie="last"`` only at the
+    sweep's last stage, which a first-stage-only gate would accept.
+    """
 
     bit_identity_gate = "test stub; every dispatch cross-checked like the real ones"
 
@@ -159,7 +163,8 @@ class _ToyKernel(StageBlockKernel):
         vals, preds = [], []
         cur = np.asarray(v, dtype=np.float64)
         for i in range(lo + 1, hi + 1):
-            cur = cur + float(i) + (0.5 if self._lie else 0.0)
+            wrong = self._lie is True or (self._lie == "last" and i == hi)
+            cur = cur + float(i) + (0.5 if wrong else 0.0)
             vals.append(cur.copy())
             preds.append(np.arange(cur.size, dtype=np.int64))
         return BlockSweep(
@@ -174,6 +179,7 @@ class _ToyKernel(StageBlockKernel):
 def _toy_problem_type():
     class _Toy:
         num_stages = 4
+        tracks_stage_objective = False
 
         def initial_vector(self):
             return np.zeros(3)
@@ -222,6 +228,33 @@ class TestRegistry:
         problem = scratch_registry()
         assert block_sweep(problem, 0, 4, problem.initial_vector()) is None
 
+    def test_dispatch_gate_discards_kernel_lying_only_at_last_stage(
+        self, scratch_registry
+    ):
+        register_kernel(scratch_registry, _ToyKernel("toy-last-liar", lie="last"))
+        problem = scratch_registry()
+        assert block_sweep(problem, 0, 4, problem.initial_vector()) is None
+        # A one-stage block's last stage is its first: still rejected.
+        assert block_sweep(problem, 3, 4, problem.stage_width(3) * [0.0]) is None
+        # The solve falls back to the dense loop and its answer.
+        from repro.ltdp.sequential import solve_sequential
+
+        got = solve_sequential(problem, use_kernels=True)
+        dense = solve_sequential(problem, use_kernels=False)
+        assert got.final_vector.tobytes() == dense.final_vector.tobytes()
+        np.testing.assert_array_equal(got.path, dense.path)
+
+    def test_dispatch_gate_discards_short_sweep(self, scratch_registry):
+        class _Short(_ToyKernel):
+            def run(self, problem, plan, lo, hi, v, *, capture_state=False):
+                sweep = super().run(problem, plan, lo, hi, v)
+                del sweep.values[-1], sweep.preds[-1]
+                return sweep
+
+        register_kernel(scratch_registry, _Short("toy-short", lie=False))
+        problem = scratch_registry()
+        assert block_sweep(problem, 0, 4, problem.initial_vector()) is None
+
     def test_dispatch_gate_accepts_honest_kernel(self, scratch_registry):
         register_kernel(scratch_registry, _ToyKernel("toy-honest", lie=False))
         problem = scratch_registry()
@@ -250,6 +283,18 @@ class TestPlanCache:
             a = (np.arange(16) + k) % 7
             warm_kernels(LCSProblem(a, a[::-1].copy(), width=20))
         assert len(kregistry._PLAN_CACHE) <= kregistry._PLAN_CACHE_MAX
+
+    def test_cache_is_bounded_by_plan_bytes(self, monkeypatch):
+        reset_plan_cache()
+        monkeypatch.setattr(kregistry, "_PLAN_CACHE_MAX_BYTES", 1)
+        for k in range(3):
+            a = (np.arange(16) + k) % 7
+            last = LCSProblem(a, a[::-1].copy(), width=20)
+            warm_kernels(last)
+        # No plan fits a 1-byte budget: only the most recent one is kept.
+        assert len(kregistry._PLAN_CACHE) == 1
+        assert warm_kernels(last) == 2
+        assert len(kregistry._PLAN_CACHE) == 1
 
     def test_reset_clears(self):
         warm_kernels(PROBLEMS["nw"])

@@ -83,7 +83,7 @@ class TestTierAxis:
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_auto_mode_matches_sequential(self, name, dense_baselines):
-        seq = solve_sequential(PROBLEMS[name])
+        seq = solve_sequential(PROBLEMS[name], use_kernels=False)
         got = solve_with(PROBLEMS[name], get_executor("serial"), use_kernels=None)
         np.testing.assert_array_equal(got.path, seq.path)
         assert got.score == seq.score

@@ -17,7 +17,7 @@ class TestBlockedSolver:
     def test_matches_sequential(self, num_procs):
         rng = np.random.default_rng(3)
         p = random_matrix_problem(20, 5, rng, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         blk = solve_blocked(p, num_procs=num_procs)
         np.testing.assert_array_equal(seq.path, blk.path)
         assert seq.score == blk.score
@@ -25,7 +25,7 @@ class TestBlockedSolver:
     def test_works_without_convergence(self, rng):
         """No rank assumption: adversarial chains are handled exactly."""
         p = permutation_chain_problem(16, 5, rng)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         blk = solve_blocked(p, num_procs=4)
         np.testing.assert_array_equal(seq.path, blk.path)
 
@@ -35,7 +35,7 @@ class TestBlockedSolver:
         q = random_dna(6, rng)
         db = random_dna(40, rng)
         sp = SmithWatermanProblem(q, db)
-        seq = solve_sequential(sp)
+        seq = solve_sequential(sp, use_kernels=False)
         blk = solve_blocked(sp, num_procs=3)
         assert blk.score == seq.score
         assert blk.objective_stage == seq.objective_stage
@@ -63,7 +63,7 @@ class TestTreeScan:
     def test_tree_scan_matches_sequential(self, num_procs):
         rng = np.random.default_rng(4)
         p = random_matrix_problem(20, 5, rng, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         blk = solve_blocked(p, num_procs=num_procs, tree_scan=True)
         np.testing.assert_array_equal(seq.path, blk.path)
         assert seq.score == blk.score

@@ -150,7 +150,7 @@ def test_delta_mode_bit_identical_everywhere(name, kind, serial_solutions):
     from repro.ltdp.sequential import solve_sequential
 
     problem = PROBLEMS[name]
-    seq = solve_sequential(problem)
+    seq = solve_sequential(problem, use_kernels=False)
     base = serial_solutions[name]
     ex = get_executor(kind, max_workers=2)
     try:

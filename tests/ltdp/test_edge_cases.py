@@ -20,13 +20,13 @@ class TestDegenerateShapes:
     def test_single_stage_parallel(self, rng):
         p = random_matrix_problem(1, 4, rng, integer=True)
         par = solve_parallel(p, num_procs=8)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(par.path, seq.path)
 
     def test_two_stages_two_procs(self, rng):
         p = random_matrix_problem(2, 3, rng, integer=True)
         par = solve_parallel(p, num_procs=2)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(par.path, seq.path)
 
     def test_width_one_stages(self):
@@ -35,7 +35,7 @@ class TestDegenerateShapes:
         mats = [rng.integers(-3, 4, size=(1, 1)).astype(float) for _ in range(12)]
         p = MatrixLTDPProblem(np.array([1.0]), mats)
         par = solve_parallel(p, num_procs=4)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         assert par.score == seq.score
         assert par.metrics.forward_fixup_iterations == 1
 
@@ -45,7 +45,7 @@ class TestDegenerateShapes:
         mats = [rng.integers(-3, 4, size=(3, 3)).astype(float) for _ in range(8)]
         p = MatrixLTDPProblem(init, mats)
         par = solve_parallel(p, num_procs=4)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(par.path, seq.path)
         assert par.path[0] == 2  # path must start at the pinned state
 
@@ -81,7 +81,7 @@ class TestFailurePaths:
         sol = solve_parallel(
             p, ParallelOptions(num_procs=5, max_fixup_iterations=10)
         )
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(sol.path, seq.path)
 
     def test_problem_without_stages_rejected(self):
@@ -136,7 +136,7 @@ class TestNzEdgeCases:
         sol = solve_parallel(
             p, ParallelOptions(num_procs=4, nz_low=0, nz_high=1)
         )
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(sol.path, seq.path)
 
     def test_float_nz_on_integer_problem_still_correct(self, rng):
@@ -145,7 +145,7 @@ class TestNzEdgeCases:
         sol = solve_parallel(
             p, ParallelOptions(num_procs=4, nz_integer=False)
         )
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(sol.path, seq.path)
         assert sol.score == seq.score
 
@@ -191,7 +191,7 @@ class TestObjectiveEdgeCases:
                 return -1.0 if j == k else float("-inf")
 
         p = Decaying()
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         assert seq.objective_stage == 0
         assert seq.objective_cell == 0
         par = solve_parallel(p, num_procs=4)

@@ -65,7 +65,7 @@ class CellZeroOptimum(LTDPProblem):
 class TestObjectiveCellZero:
     def test_sequential_optimum_is_cell_zero_mid_stream(self):
         p = CellZeroOptimum()
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         assert seq.objective_cell == 0
         assert 0 < seq.objective_stage < p.num_stages
         # Diagonal transforms: a cell-0 start means a cell-0 path.
@@ -74,7 +74,7 @@ class TestObjectiveCellZero:
     @pytest.mark.parametrize("parallel_backward", [False, True])
     def test_parallel_traces_from_cell_zero(self, parallel_backward):
         p = CellZeroOptimum()
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(
             p,
             ParallelOptions(

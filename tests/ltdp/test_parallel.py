@@ -34,7 +34,7 @@ class TestEquivalenceWithSequential:
     def test_dense_random(self, num_procs):
         rng = np.random.default_rng(7)
         p = random_matrix_problem(32, 6, rng, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=num_procs)
         np.testing.assert_array_equal(seq.path, par.path)
         assert seq.score == par.score
@@ -43,7 +43,7 @@ class TestEquivalenceWithSequential:
     def test_many_seeds(self, seed):
         rng = np.random.default_rng(seed)
         p = random_matrix_problem(24, 5, rng, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=4, seed=seed + 100)
         np.testing.assert_array_equal(seq.path, par.path)
         assert seq.score == par.score
@@ -51,7 +51,7 @@ class TestEquivalenceWithSequential:
     def test_sparse_problem(self):
         rng = np.random.default_rng(11)
         p = random_matrix_problem(30, 8, rng, density=0.5, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=5)
         np.testing.assert_array_equal(seq.path, par.path)
         assert seq.score == par.score
@@ -65,7 +65,7 @@ class TestEquivalenceWithSequential:
             mats.append(rng.integers(-4, 5, size=(w, w_prev)).astype(float))
             w_prev = w
         p = MatrixLTDPProblem(rng.integers(-4, 5, size=widths[0]).astype(float), mats)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=3)
         np.testing.assert_array_equal(seq.path, par.path)
         assert seq.score == par.score
@@ -73,7 +73,7 @@ class TestEquivalenceWithSequential:
     def test_adversarial_permutation_chain_devolves_but_correct(self):
         rng = np.random.default_rng(17)
         p = permutation_chain_problem(20, 5, rng)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=4)
         np.testing.assert_array_equal(seq.path, par.path)
         assert seq.score == par.score
@@ -83,39 +83,39 @@ class TestEquivalenceWithSequential:
     def test_single_proc_delegates_to_sequential(self, rng):
         p = random_matrix_problem(10, 4, rng, integer=True)
         par = solve_parallel(p, num_procs=1)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(par.path, seq.path)
         assert par.metrics is not None  # still carries metrics
 
     def test_more_procs_than_stages(self, rng):
         p = random_matrix_problem(3, 4, rng, integer=True)
         par = solve_parallel(p, num_procs=64)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(par.path, seq.path)
         assert par.metrics.num_procs == 3  # clamped
 
     def test_serial_backward_variant(self, rng):
         p = random_matrix_problem(20, 5, rng, integer=True)
         par = solve_parallel(p, num_procs=4, parallel_backward=False)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         np.testing.assert_array_equal(par.path, seq.path)
 
 
 class TestScores:
     def test_exact_score_epilogue(self, rng):
         p = random_matrix_problem(20, 5, rng, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=4, exact_score=True)
         assert par.score == seq.score
 
     def test_without_epilogue_score_may_be_offset(self, rng):
         p = random_matrix_problem(20, 5, rng, integer=True)
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         par = solve_parallel(p, num_procs=4, exact_score=False)
         # The final stored vector is parallel to the truth, so the raw
         # score differs from the true one by that run's offset (possibly 0).
         offset = par.score - seq.score
-        final_diff = par.final_vector - solve_sequential(p).final_vector
+        final_diff = par.final_vector - solve_sequential(p, use_kernels=False).final_vector
         finite = np.isfinite(final_diff)
         assert np.allclose(final_diff[finite], offset)
 
@@ -132,7 +132,7 @@ class TestScores:
         proxy = NoEdgeWeight()
         from repro.ltdp.parallel import _price_path
 
-        seq = solve_sequential(p)
+        seq = solve_sequential(p, use_kernels=False)
         assert _price_path(proxy, seq.path) == seq.score
 
 
@@ -233,7 +233,7 @@ class TestMetrics:
 
         par = solve_parallel(p, num_procs=3)
         assert par.metrics.stage_width == width
-        seq = solve_sequential(p, with_metrics=True)
+        seq = solve_sequential(p, with_metrics=True, use_kernels=False)
         assert seq.metrics.stage_width == width
 
     def test_keep_stage_vectors(self, rng):
@@ -244,7 +244,7 @@ class TestMetrics:
         # Every stored vector must be parallel to the true one.
         from repro.semiring.vector import are_parallel
 
-        seq = solve_sequential(p, keep_stage_vectors=True)
+        seq = solve_sequential(p, keep_stage_vectors=True, use_kernels=False)
         for stored, true in zip(par.stage_vectors, seq.stage_vectors):
             assert are_parallel(stored, true)
 

@@ -24,7 +24,7 @@ from repro.semiring.vector import are_parallel
 def test_parallel_equals_sequential_dense(seed, num_stages, width, num_procs):
     rng = np.random.default_rng(seed)
     problem = random_matrix_problem(num_stages, width, rng, integer=True)
-    seq = solve_sequential(problem)
+    seq = solve_sequential(problem, use_kernels=False)
     par = solve_parallel(problem, num_procs=num_procs, seed=seed ^ 0xBEEF)
     np.testing.assert_array_equal(seq.path, par.path)
     assert seq.score == par.score
@@ -39,7 +39,7 @@ def test_parallel_equals_sequential_dense(seed, num_stages, width, num_procs):
 def test_parallel_equals_sequential_sparse(seed, density, num_procs):
     rng = np.random.default_rng(seed)
     problem = random_matrix_problem(16, 5, rng, density=density, integer=True)
-    seq = solve_sequential(problem)
+    seq = solve_sequential(problem, use_kernels=False)
     par = solve_parallel(problem, num_procs=num_procs, seed=seed)
     np.testing.assert_array_equal(seq.path, par.path)
     assert seq.score == par.score
@@ -51,7 +51,7 @@ def test_stored_vectors_always_parallel_to_truth(seed, num_procs):
     """After fix-up, every stored stage vector ∥ the true solution vector."""
     rng = np.random.default_rng(seed)
     problem = random_matrix_problem(20, 4, rng, integer=True)
-    seq = solve_sequential(problem, keep_stage_vectors=True)
+    seq = solve_sequential(problem, keep_stage_vectors=True, use_kernels=False)
     par = solve_parallel(
         problem, num_procs=num_procs, seed=seed, keep_stage_vectors=True
     )

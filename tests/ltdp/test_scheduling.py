@@ -85,7 +85,7 @@ def test_converged_processors_not_redispatched(slow_instance, use_delta):
 
 @pytest.mark.parametrize("use_delta", [False, True])
 def test_skipping_preserves_bit_identity(slow_instance, use_delta):
-    seq = solve_sequential(slow_instance)
+    seq = solve_sequential(slow_instance, use_kernels=False)
     par = solve_parallel(
         slow_instance, num_procs=NUM_PROCS, seed=0, use_delta=use_delta
     )

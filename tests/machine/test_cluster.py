@@ -77,4 +77,4 @@ class TestClusterExecutorIntegration:
             cluster.executor.close()
         from repro.ltdp.sequential import solve_sequential
 
-        np.testing.assert_array_equal(sol.path, solve_sequential(p).path)
+        np.testing.assert_array_equal(sol.path, solve_sequential(p, use_kernels=False).path)

@@ -107,7 +107,7 @@ def test_sw_ltdp_and_striped_match_gotoh(q, db, match, mismatch, open_extra, ext
 def test_parallel_lcs_equals_sequential_always(a, b, procs, seed):
     width = max(4, abs(len(a) - len(b)) + 2)
     problem = LCSProblem(a, b, width=width)
-    seq = solve_sequential(problem)
+    seq = solve_sequential(problem, use_kernels=False)
     par = solve_parallel(problem, num_procs=procs, seed=seed)
     np.testing.assert_array_equal(seq.path, par.path)
     assert seq.score == par.score
@@ -117,7 +117,7 @@ def test_parallel_lcs_equals_sequential_always(a, b, procs, seed):
 @given(q=dna, db=dna, procs=st.integers(2, 6))
 def test_parallel_sw_equals_sequential_always(q, db, procs):
     problem = SmithWatermanProblem(q, db)
-    seq = solve_sequential(problem)
+    seq = solve_sequential(problem, use_kernels=False)
     par = solve_parallel(problem, num_procs=procs, seed=3)
     assert seq.score == par.score
     assert seq.objective_stage == par.objective_stage

@@ -134,7 +134,7 @@ class TestDecoderProblem:
 
     def test_parallel_equals_sequential(self, rng):
         payload, problem = make_received_packet(VOYAGER, 96, rng, error_rate=0.03)
-        seq = solve_sequential(problem)
+        seq = solve_sequential(problem, use_kernels=False)
         par = solve_parallel(problem, num_procs=4)
         np.testing.assert_array_equal(seq.path, par.path)
         assert seq.score == par.score

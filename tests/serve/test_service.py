@@ -52,7 +52,7 @@ def _mutate(a, rng, k=2):
 
 def _assert_identical(problem, response):
     assert response.status == STATUS_OK, response.reason
-    expected = solve_sequential(problem)
+    expected = solve_sequential(problem, use_kernels=False)
     np.testing.assert_array_equal(response.solution.path, expected.path)
     assert response.solution.score == expected.score
 

@@ -33,7 +33,7 @@ def _mutated(problem, seed, k=2):
 
 
 def _check(problem, solution):
-    expected = solve_sequential(problem)
+    expected = solve_sequential(problem, use_kernels=False)
     np.testing.assert_array_equal(solution.path, expected.path)
     assert solution.score == expected.score
 

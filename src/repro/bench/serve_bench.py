@@ -103,7 +103,8 @@ def _run_row(name, num_requests, size, num_procs, max_workers) -> dict:
     for problem, response in zip(problems, responses):
         if response.status != STATUS_OK:
             continue
-        expected = solve_sequential(problem)
+        # Dense reference: independent of the kernel tier the workers ran.
+        expected = solve_sequential(problem, use_kernels=False)
         if (
             response.solution is not None
             and np.array_equal(response.solution.path, expected.path)

@@ -164,7 +164,9 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = build_problem(args)
-    seq = solve_sequential(problem)
+    # Dense reference, so `parallel == seq` does not compare kernel code
+    # with itself.
+    seq = solve_sequential(problem, use_kernels=False)
     tracer = Tracer() if args.trace else None
     # The with-block guarantees pool workers are reaped on every exit
     # path, including solver errors and ^C.

@@ -174,7 +174,9 @@ def run_selftest(
         else:
             report.misses += 1
         report.delta_cells += response.delta_cells
-        expected = solve_sequential(problem)
+        # The literal Fig 2 loop, so the oracle shares no kernel code with
+        # the pool workers that produced the answer.
+        expected = solve_sequential(problem, use_kernels=False)
         got = response.solution
         if (
             got is not None

@@ -31,10 +31,6 @@ guarantees of the tracing layer (recorded under ``"checks"``):
 - ``delta_fixup_reduction`` — on the sparse-kernel problems (LCS, NW)
   the §4.7 delta-mode fix-up must touch no more cells than dense mode
   on any grid cell, and strictly fewer on at least one;
-- ``runner_scaling`` — 1-runner vs 4-runner pool solves of the Viterbi
-  and NW rows: wall clocks are recorded for trend-watching, and the
-  check passes iff the results are bit-identical (runner count must be
-  invisible in path, score and the metrics ledger);
 - ``kernel_tier_speedup`` — the block-kernel fast path
   (``ParallelOptions(use_kernels=True)``) on the scaled ``viterbi_xl``
   and ``nw_xl`` pool rows must be bit-identical to the dense tier-off
@@ -324,71 +320,6 @@ def _check_delta_fixup_reduction(results: list[dict]) -> dict:
     }
 
 
-def _check_runner_scaling(smoke: bool, repeats: int) -> dict:
-    """Runner-crew cell: 1-runner vs N-runner wall clock on the pool.
-
-    ``passed`` gates on *bit-identity* (path + score + fix-up schedule
-    must not notice the runner count), never on the speed ratio — on a
-    loaded single-core CI container concurrent runners may well be
-    slower; the ratio is recorded for trend-watching only.
-    """
-    runner_counts = (1, 4)
-    rows = []
-    identical = True
-    for problem_name in ("viterbi", "nw"):
-        problem = build_problem(problem_name, smoke)
-        per_count: dict[int, dict] = {}
-        with get_executor("pool") as executor:
-            _timed_solve(problem, executor, 4)  # warm the workers
-            for runners in runner_counts:
-                times = []
-                solution = None
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    solution = solve_parallel(
-                        problem,
-                        ParallelOptions(
-                            num_procs=4,
-                            seed=SEED,
-                            executor=executor,
-                            runners=runners,
-                        ),
-                    )
-                    times.append(time.perf_counter() - t0)
-                per_count[runners] = {
-                    "wall_seconds": min(times),
-                    "solution": solution,
-                }
-        base = per_count[runner_counts[0]]["solution"]
-        multi = per_count[runner_counts[-1]]["solution"]
-        cell_identical = bool(
-            np.array_equal(base.path, multi.path)
-            and base.score == multi.score
-            and base.metrics.forward_fixup_iterations
-            == multi.metrics.forward_fixup_iterations
-            and base.metrics.work_by_processor()
-            == multi.metrics.work_by_processor()
-            and base.metrics.bytes_communicated
-            == multi.metrics.bytes_communicated
-        )
-        identical &= cell_identical
-        rows.append(
-            {
-                "problem": problem_name,
-                "procs": 4,
-                "runners_1_seconds": per_count[runner_counts[0]]["wall_seconds"],
-                "runners_n_seconds": per_count[runner_counts[-1]]["wall_seconds"],
-                "runners_n": runner_counts[-1],
-                "ratio": (
-                    per_count[runner_counts[-1]]["wall_seconds"]
-                    / per_count[runner_counts[0]]["wall_seconds"]
-                ),
-                "bit_identical": cell_identical,
-            }
-        )
-    return {"rows": rows, "passed": bool(rows) and identical}
-
-
 def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict]:
     """Kernel-tier rows (``kernel_tier: true/false`` at identical sizes)
     plus the ``kernel_tier_speedup`` check.
@@ -662,7 +593,6 @@ def run_suite(smoke: bool, repeats: int, trace_path: str | None = None) -> tuple
         "tracing_disabled_overhead": _check_disabled_overhead(smoke, repeats + 2),
         "trace_coverage": _check_trace_coverage(smoke, trace_path),
         "delta_fixup_reduction": _check_delta_fixup_reduction(results),
-        "runner_scaling": _check_runner_scaling(smoke, repeats),
         "kernel_tier_speedup": tier_check,
     }
     for name, check in checks.items():

@@ -109,15 +109,15 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         "--executor",
         choices=EXECUTOR_KINDS,
         default="serial",
-        help="superstep runtime: serial (simulated), thread, "
-        "process (fork per task) or pool (persistent workers)",
+        help="superstep runtime: serial (simulated), thread or pool "
+        "(persistent workers)",
     )
     p.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap on real OS workers for thread/process/pool executors",
+        help="cap on real OS workers for thread/pool executors",
     )
 
 
@@ -176,7 +176,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             seed=args.seed,
             executor=executor,
             tracer=tracer,
-            runners=args.runners,
         )
         par = solve_parallel(problem, options)
     ok = bool(np.array_equal(seq.path, par.path)) and abs(seq.score - par.score) < 1e-9
@@ -185,7 +184,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"score            : {seq.score}")
     print(f"parallel == seq  : {ok}")
     print(f"executor         : {args.executor}")
-    print(f"runners          : {args.runners}")
     print(f"processors       : {m.num_procs}")
     print(f"fix-up iterations: {m.forward_fixup_iterations}")
     print(f"critical work    : {m.critical_path_work:.0f} cells")
@@ -288,10 +286,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     problem = build_problem(args)
     with _build_executor(args) as executor:
         options = ParallelOptions(
-            num_procs=args.procs,
-            seed=args.seed,
-            executor=executor,
-            runners=args.runners,
+            num_procs=args.procs, seed=args.seed, executor=executor
         )
         par = solve_parallel(problem, options)
     print(render_gantt(par.metrics, CostModel(cell_cost=1e-7), columns=args.columns))
@@ -311,14 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_problem_args(p_solve)
     _add_runtime_args(p_solve)
     p_solve.add_argument("--procs", type=int, default=8)
-    p_solve.add_argument(
-        "--runners",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="concurrent instruction runners pulling from the shared work "
-        "queue (1 = classic superstep loop; results are bit-identical)",
-    )
     p_solve.add_argument(
         "--trace",
         metavar="PATH",
@@ -341,13 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_problem_args(p_trace)
     _add_runtime_args(p_trace)
     p_trace.add_argument("--procs", type=int, default=8)
-    p_trace.add_argument(
-        "--runners",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="concurrent instruction runners (see `repro solve --runners`)",
-    )
     p_trace.add_argument("--columns", type=int, default=100)
 
     p_serve = sub.add_parser(

@@ -1,6 +1,6 @@
 """Static lock model behind the concurrency rules (REP007–REP009).
 
-The runner/pool/serve layers (PRs 6–8) synchronize with a handful of
+The engine, pool and serve layers synchronize with a handful of
 ``threading.Lock`` / ``RLock`` / ``Condition`` attributes.  This module
 builds a *static* model of that synchronization, per class:
 

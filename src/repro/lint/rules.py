@@ -5,7 +5,7 @@ at all): the tropical-zero constant, identity-safe reductions, worker
 determinism, canonical phase/label vocabulary, the executor error
 contract, kernel gate declarations, and — the concurrency tier —
 guarded-by discipline, lock-order acyclicity and no-blocking-under-lock
-for the runner/pool/serve layers.  Canonical vocabularies are imported
+for the engine/pool/serve layers.  Canonical vocabularies are imported
 from the modules that own them (:mod:`repro.machine.metrics`,
 :mod:`repro.exceptions`) so the linter can never drift from the runtime.
 """
@@ -243,8 +243,8 @@ class WorkerDeterminismRule(Rule):
     on every replayed call being bit-identical.  This rule computes
     reachability from the worker loop (``machine/pool.py``), the
     worker-side runtime hooks (``ltdp/engine/poolrt.py`` ``_w_*``) and
-    every ``threading.Thread(target=...)`` spawn target (runner loops,
-    the serve batcher — tracked by the call graph) over the project
+    every ``threading.Thread(target=...)`` spawn target (the serve
+    batcher — tracked by the call graph) over the project
     call graph and flags nondeterminism sources in reachable code: the stdlib ``random`` module, wall-clock reads (``time.time``,
     ``datetime.now``), unseeded NumPy RNGs / the legacy global NumPy
     RNG, environment mutation, and module-global writes.
@@ -269,7 +269,7 @@ class WorkerDeterminismRule(Rule):
             root_keys |= graph.units_matching(
                 module_suffix=suffix, name_predicate=predicate
             )
-        # Thread spawn targets (runner loops, the serve batcher) are
+        # Thread spawn targets (the serve batcher) are
         # entry points of concurrent execution just like worker mains:
         # replay determinism must hold along everything they reach.
         root_keys |= graph.thread_roots
@@ -397,9 +397,8 @@ class PhaseDisciplineRule(Rule):
     must be members of ``RECORD_PHASES``, a record built without an
     explicit phase must carry a label with a known prefix, tracer
     phase spans must use ``TRACE_PHASES`` members, and literal tracer
-    span *names* must come from ``TRACE_SPAN_NAMES`` (the runner layer
-    added ``runner.pull`` / ``program.instr``; an unregistered span name
-    is invisible to trace summaries and the bench coverage check —
+    span *names* must come from ``TRACE_SPAN_NAMES`` (an unregistered
+    span name is invisible to trace summaries and the bench coverage check —
     the same silent-vocabulary-drift bug, one layer up).
     """
 
@@ -528,11 +527,7 @@ def _executor_error_names() -> frozenset[str]:
 _VALIDATION_ERRORS = frozenset({"ValueError", "TypeError", "NotImplementedError"})
 
 _RAISE_SCOPE = ("repro/machine/executor.py", "repro/machine/pool.py")
-_EXCEPT_SCOPE = _RAISE_SCOPE + (
-    "repro/ltdp/engine/poolrt.py",
-    "repro/ltdp/engine/runner.py",
-    "repro/machine/workqueue.py",
-)
+_EXCEPT_SCOPE = _RAISE_SCOPE + ("repro/ltdp/engine/poolrt.py",)
 
 
 class ExecutorContractRule(Rule):

@@ -1,4 +1,4 @@
-"""The parallel LTDP engine: plan, store, program and runner layers.
+"""The parallel LTDP engine: plan, store, program and runtime layers.
 
 The engine splits the paper's parallel algorithm (Figs 4/5) into
 
@@ -13,18 +13,14 @@ The engine splits the paper's parallel algorithm (Figs 4/5) into
   (:class:`~repro.ltdp.engine.store.DriverStore`) or worker-resident
   (:class:`~repro.ltdp.engine.store.WorkerStore`) behind one interface;
 - a **program layer** (:mod:`~repro.ltdp.engine.program`) compiling
-  spec lists into a sequence-numbered, dependency-edged
-  :class:`~repro.ltdp.engine.program.InstructionProgram` whose
-  instructions are idempotent under repeat delivery and whose recorded
+  spec lists into a sequence-numbered
+  :class:`~repro.ltdp.engine.program.InstructionProgram` whose recorded
   prefix doubles as the crash-recovery replay journal;
-- a **runner layer** (:mod:`~repro.ltdp.engine.runner` +
-  :mod:`repro.machine.workqueue`) where N concurrent runners pull
-  ready instructions from a shared work queue — glued together by the
-  runtimes (:class:`~repro.ltdp.engine.runtime.LocalRuntime` over any
-  classic serial/thread/process
-  :class:`~repro.machine.executor.Executor`, or
+- a **runtime layer** running each superstep as one dispatch:
+  :class:`~repro.ltdp.engine.runtime.LocalRuntime` over a serial or
+  thread :class:`~repro.machine.executor.Executor`, or
   :class:`~repro.ltdp.engine.poolrt.PoolRuntime` over the persistent
-  :class:`~repro.machine.pool.PoolProcessExecutor`).
+  :class:`~repro.machine.pool.PoolProcessExecutor`.
 
 ``solve_parallel`` keeps the exact signature and semantics it had when
 it lived in :mod:`repro.ltdp.parallel`; that module remains the
@@ -37,7 +33,6 @@ from repro.ltdp.engine.driver import (
     solve_parallel,
 )
 from repro.ltdp.engine.program import Instruction, InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
 from repro.ltdp.engine.runtime import LocalRuntime, SuperstepRuntime
 from repro.ltdp.engine.specs import (
     BackwardFixupSpec,
@@ -48,7 +43,6 @@ from repro.ltdp.engine.specs import (
     SpecResult,
     SuperstepSpec,
 )
-from repro.ltdp.engine.state import EngineState
 from repro.ltdp.engine.store import DriverStore, StateStore, WorkerStore
 
 __all__ = [
@@ -57,14 +51,11 @@ __all__ = [
     "edge_weight_by_probe",
     "SuperstepRuntime",
     "LocalRuntime",
-    "EngineState",
     "StateStore",
     "DriverStore",
     "WorkerStore",
     "Instruction",
     "InstructionProgram",
-    "DeliveryPolicy",
-    "RunnerCrew",
     "SuperstepSpec",
     "SpecResult",
     "ForwardInitSpec",

@@ -6,7 +6,7 @@ superstep specs) to the runtime layer (where the specs execute):
 1. partition stages over virtual processors;
 2. pick a runtime from the executor's capabilities —
    :class:`~repro.ltdp.engine.runtime.LocalRuntime` for closure-running
-   executors (serial / thread / fork-per-task),
+   executors (serial / thread),
    :class:`~repro.ltdp.engine.poolrt.PoolRuntime` for the persistent
    :class:`~repro.machine.pool.PoolProcessExecutor`;
 3. run the forward phase, the optional objective reduction, and the
@@ -41,7 +41,6 @@ from repro.ltdp.engine.backward import (
     objective_phase,
 )
 from repro.ltdp.engine.forward import forward_phase
-from repro.ltdp.engine.runner import DeliveryPolicy
 from repro.ltdp.engine.runtime import LocalRuntime, SuperstepRuntime
 from repro.ltdp.partition import partition_stages
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
@@ -72,7 +71,7 @@ class ParallelOptions:
         Requested processor count ``P`` (clamped to the stage count).
     executor:
         Where superstep tasks run; default serial (deterministic sim).
-        Executors advertising ``supports_resident_state`` (the
+        Executors declaring the ``resident_state`` capability (the
         persistent worker pool) get the state-resident runtime.
     seed:
         Seeds the random ``nz`` start vectors (Fig 4 line 8).  The same
@@ -116,18 +115,6 @@ class ParallelOptions:
         keeps every instrumentation site on its one-check fast path.
         Only multi-processor solves are traced; ``num_procs=1``
         devolves to the sequential solver.
-    runners:
-        Concurrent instruction runners pulling from the shared work
-        queue (CLI ``--runners``).  1 (default) keeps the classic
-        one-batch-per-barrier superstep loop; ``> 1`` spins up a
-        :class:`~repro.ltdp.engine.runner.RunnerCrew` so a superstep's
-        instructions execute concurrently as the queue releases them.
-        Results are bit-identical either way.
-    delivery:
-        Optional :class:`~repro.ltdp.engine.runner.DeliveryPolicy`
-        perturbing instruction delivery (duplicates, LIFO order) — the
-        redelivery test suite's fault-injection knob.  A non-default
-        policy forces the runner-crew path even with ``runners=1``.
     use_kernels:
         Raw-speed kernel tier (:mod:`repro.kernels`) tri-state.
         ``None`` (default, auto) dispatches whole stage-blocks through a
@@ -153,15 +140,11 @@ class ParallelOptions:
     parallel_backward: bool = True
     keep_stage_vectors: bool = False
     tracer: Tracer | None = None
-    runners: int = 1
-    delivery: DeliveryPolicy | None = None
     use_kernels: bool | None = None
 
     def __post_init__(self) -> None:
         if self.num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {self.num_procs}")
-        if self.runners < 1:
-            raise ValueError(f"runners must be >= 1, got {self.runners}")
         if not self.nz_low < self.nz_high:
             raise ValueError("require nz_low < nz_high")
         if not 0.0 < self.delta_crossover <= 1.0:
@@ -215,24 +198,13 @@ def _make_runtime(
     problem: LTDPProblem,
     ranges,
     tracer: Tracer | None = None,
-    runners: int = 1,
-    delivery: DeliveryPolicy | None = None,
 ) -> SuperstepRuntime:
     """Runtime selection: resident-state executors get the pool runtime."""
     if executor_capability(executor, "resident_state"):
         from repro.ltdp.engine.poolrt import PoolRuntime
 
-        return PoolRuntime(
-            executor,
-            problem,
-            ranges,
-            tracer=tracer,
-            runners=runners,
-            delivery=delivery,
-        )
-    return LocalRuntime(
-        executor, problem, tracer=tracer, runners=runners, delivery=delivery
-    )
+        return PoolRuntime(executor, problem, ranges, tracer=tracer)
+    return LocalRuntime(executor, problem, tracer=tracer)
 
 
 def run_solve_phases(
@@ -381,14 +353,7 @@ def solve_parallel(
             num_procs=num_procs,
             executor=type(options.executor).__name__,
         )
-    runtime = _make_runtime(
-        options.executor,
-        problem,
-        ranges,
-        tracer,
-        runners=options.runners,
-        delivery=options.delivery,
-    )
+    runtime = _make_runtime(options.executor, problem, ranges, tracer)
     try:
         solution = run_solve_phases(problem, options, ranges, runtime, metrics)
     finally:

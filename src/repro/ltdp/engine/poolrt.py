@@ -8,17 +8,18 @@ path segment **inside the worker**
 
 - ``begin`` (constructor) pickles the problem **once** and broadcasts
   it to every worker;
-- each superstep ships only sequence-numbered instructions (a spec —
-  a boundary vector + scalars — per processor) and receives *stripped*
+- each superstep is one batched dispatch shipping only
+  sequence-numbered instructions (a spec — a boundary vector + scalars
+  — per processor) and receives *stripped*
   results — the O(width) range-final vector and scalar accounting,
   never the per-stage payloads.  That is exactly the paper's cost
   model: per fix-up iteration, one boundary vector per neighbour pair
   crosses a process boundary, nothing else;
 - the wire protocol is **idempotent per instruction**: workers cache
   each instruction's stripped reply by seq, so a re-delivered
-  instruction (duplicate delivery, post-recovery re-send) returns the
-  cached reply without re-executing — numpywren's ``FailureTests``
-  contract at the transport layer;
+  instruction (a post-recovery re-send) returns the cached reply
+  without re-executing — numpywren's ``FailureTests`` contract at the
+  transport layer;
 - when the backward partition differs from the forward one (objective
   problems whose optimum lies before the last stage), a one-time
   driver-mediated redistribution moves the few predecessor vectors a
@@ -64,8 +65,7 @@ import numpy as np
 
 from repro.exceptions import ExecutorError
 from repro.ltdp.engine.program import Instruction, InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
-from repro.ltdp.engine.runtime import SuperstepRuntime, _wants_crew
+from repro.ltdp.engine.runtime import SuperstepRuntime
 from repro.ltdp.engine.specs import SpecResult, SuperstepSpec
 from repro.ltdp.engine.store import WorkerStore
 from repro.ltdp.partition import StageRange
@@ -135,13 +135,13 @@ def _w_run_instr(ns, key: str, seq: int, spec: SuperstepSpec) -> SpecResult:
     """Execute one instruction against the slot's resident store.
 
     Idempotent under repeat delivery: the stripped reply of every
-    executed instruction is cached by seq, and a re-delivery (duplicate
-    from the runner queue, or a post-recovery re-send of a request the
-    worker already served) returns the cache without touching resident
-    state.  During crash-recovery replay the same function re-runs the
-    recorded program suffix — replies are discarded by the replay
-    batch, and re-populating the cache is exactly what a rebuilt worker
-    needs to keep honouring the contract.
+    executed instruction is cached by seq, and a re-delivery (a
+    post-recovery re-send of a request the worker already served)
+    returns the cache without touching resident state.  During
+    crash-recovery replay the same function re-runs the recorded
+    program suffix — replies are discarded by the replay batch, and
+    re-populating the cache is exactly what a rebuilt worker needs to
+    keep honouring the contract.
 
     Stage-resident writes are applied here, in the worker (at most once
     per seq, via the store's seq guard); the reply is stripped down to
@@ -178,13 +178,8 @@ def _w_install_pred(ns, key: str, slot: int, mapping: dict[int, np.ndarray]) -> 
 class PoolRuntime(SuperstepRuntime):
     """Plan executor backed by persistent, state-resident pool workers.
 
-    With ``runners > 1`` (or a redelivery-testing
-    :class:`~repro.ltdp.engine.runner.DeliveryPolicy`), instructions are
-    pulled by a :class:`~repro.ltdp.engine.runner.RunnerCrew` and each
-    dispatched individually to its slot's worker (the pool serializes
-    per-worker pipe traffic); with the default single runner, a whole
-    superstep ships as one batched dispatch per barrier — the classic
-    one-round-trip-per-superstep wire cost.
+    A whole superstep ships as one batched dispatch per barrier — one
+    round trip per superstep.
     """
 
     _key_counter = itertools.count(1)
@@ -195,8 +190,6 @@ class PoolRuntime(SuperstepRuntime):
         problem: LTDPProblem,
         ranges: Sequence[StageRange],
         tracer: Tracer | None = None,
-        runners: int = 1,
-        delivery: DeliveryPolicy | None = None,
         session_key: str | None = None,
     ) -> None:
         self.pool = pool
@@ -225,22 +218,8 @@ class PoolRuntime(SuperstepRuntime):
         # instructions with seq > watermark executed under that blob's
         # problem.  Entry 0 is the construction-time problem.
         self._problem_history: list[tuple[int, bytes]] = [(0, blob)]
-        if hasattr(self.pool, "add_rebuild_hook"):
-            self.pool.add_rebuild_hook(self, self._rebuild_worker)
-        elif hasattr(self.pool, "set_rebuild_hook"):
-            self.pool.set_rebuild_hook(self._rebuild_worker)
+        self.pool.add_rebuild_hook(self, self._rebuild_worker)
         self.pool.broadcast(_w_reset, (self.session_key, blob, slots))
-        self._crew: RunnerCrew | None = None
-        if _wants_crew(runners, delivery):
-            self._crew = RunnerCrew(
-                runners,
-                self._execute_instr,
-                self.program,
-                tracer=tracer,
-                policy=delivery,
-            )
-            if hasattr(pool, "add_teardown_hook"):
-                pool.add_teardown_hook(self._crew.close)
 
     @staticmethod
     def _pickle_problem(problem: LTDPProblem) -> bytes:
@@ -323,34 +302,11 @@ class PoolRuntime(SuperstepRuntime):
             ri += 1
         return calls, replayed
 
-    def _execute_instr(self, instr: Instruction) -> SpecResult:
-        """Runner-crew transport: one dispatch per pulled instruction."""
-        return self.pool.call_slots(
-            [(instr.slot, _w_run_instr, (self.session_key, instr.seq, instr.spec))]
-        )[0]
-
     def run(
         self, specs: Sequence[SuperstepSpec], label: str = ""
     ) -> list[SpecResult]:
         tracer = self.tracer
         step_no, instrs = self.program.add_superstep(specs, label)
-        if self._crew is not None:
-            if not tracer:
-                return self._crew.run_step(instrs)
-            t0 = time.perf_counter()
-            with tracer.context(superstep=step_no, label=label):
-                results = self._crew.run_step(instrs)
-            tracer.add_span(
-                "superstep",
-                t0,
-                time.perf_counter(),
-                superstep=step_no,
-                label=label,
-                procs=len(specs),
-            )
-            return results
-        # Classic path: the whole superstep as one batched dispatch per
-        # worker — one round trip per barrier.
         calls = [
             (instr.slot, _w_run_instr, (self.session_key, instr.seq, instr.spec))
             for instr in instrs
@@ -373,8 +329,8 @@ class PoolRuntime(SuperstepRuntime):
             )
         # Record only after the barrier: an in-flight instruction must
         # not be part of the replay that precedes its own re-send.
-        for instr, result in zip(instrs, results):
-            self.program.record_result(instr.seq, result)
+        for instr in instrs:
+            self.program.record(instr.seq)
         return results
 
     def install_path(self, path: np.ndarray) -> None:
@@ -437,8 +393,7 @@ class PoolRuntime(SuperstepRuntime):
         # recorded immediately so crash recovery replays them in slot
         # order between the forward and backward instruction suffixes.
         for slot, mapping in installs.items():
-            instr = self.program.add_install(slot, mapping)
-            self.program.record_result(instr.seq)
+            self.program.record(self.program.add_install(slot, mapping).seq)
 
     # -- gathers --------------------------------------------------------
     def _gather(self, kind: str) -> list[np.ndarray | None]:
@@ -471,17 +426,9 @@ class PoolRuntime(SuperstepRuntime):
         if self._finished:
             return
         self._finished = True
-        if self._crew is not None:
-            self._crew.close()
-            if hasattr(self.pool, "remove_teardown_hook"):
-                self.pool.remove_teardown_hook(self._crew.close)
-            self._crew = None
         # Unhook before dropping: a worker respawn triggered by the drop
         # broadcast must not first replay the session it is dropping.
-        if hasattr(self.pool, "remove_rebuild_hook"):
-            self.pool.remove_rebuild_hook(self)
-        elif hasattr(self.pool, "set_rebuild_hook"):
-            self.pool.set_rebuild_hook(None)
+        self.pool.remove_rebuild_hook(self)
         if self.tracer and hasattr(self.pool, "set_tracer"):
             self.pool.set_tracer(None)
         try:

@@ -3,83 +3,40 @@
 A phase planner emits one :class:`~repro.ltdp.engine.specs.SuperstepSpec`
 per processor per barrier; this module compiles those lists into a
 sequence-numbered :class:`InstructionProgram` — the lambdapack pattern
-(numpywren): a flat, append-only list of :class:`Instruction` objects,
-each naming the dataflow slots it reads and writes, pulled by runners
-and **idempotent under repeat delivery**.
+(numpywren): a flat, append-only list of :class:`Instruction` objects.
 
-The program is simultaneously three things:
+The program is two things:
 
-- the **schedule**: each instruction carries the dependency edges
-  (``deps``) a work queue needs to release it only when its inputs
-  exist — the fix-up DAG made explicit;
 - the **counter**: ``add_superstep`` increments the solve-global
   superstep number unconditionally, so trace spans, metrics
-  ``SuperstepRecord.step`` values and instruction seqs all correlate
-  (the old ``LocalRuntime._step_no`` only counted when tracing was on);
+  ``SuperstepRecord.step`` values and instruction seqs all correlate;
 - the **journal**: ``slot_history`` lists every instruction ever
-  compiled for a slot, and ``is_recorded`` marks the ones whose results
-  completed a barrier — exactly the prefix crash recovery must replay.
-  PR 2's replay journal is subsumed: rebuilding a dead worker is
-  "re-run the recorded program suffix for its slots".
-
-Dataflow slot naming: ``state:p`` / ``pred:p`` / ``bnd:p`` / ``obj:p``
-/ ``path:p`` are processor ``p``'s resident stage vectors, predecessor
-vectors, range-final boundary, objective candidate and path segment.
-A fix-up instruction for processor ``p`` reads ``bnd:p-1`` (its left
-neighbour's boundary as of the previous barrier) — the paper's one
-message per neighbour pair per iteration, now a visible edge.
+  compiled for a slot, and ``is_recorded`` marks the ones that completed
+  a barrier — exactly the prefix crash recovery must replay.  Rebuilding
+  a dead pool worker is "re-run the recorded program prefix for its
+  slots".
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.ltdp.engine.specs import (
-    BackwardFixupSpec,
-    BackwardInitSpec,
-    ForwardFixupSpec,
-    ForwardInitSpec,
-    ObjectiveSpec,
-    SpecResult,
-    SuperstepSpec,
-)
+from repro.ltdp.engine.specs import SuperstepSpec
 
 __all__ = ["Instruction", "InstructionProgram"]
 
 
-def _dataflow(spec: SuperstepSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``(reads, writes)`` dataflow slots of one spec's instruction."""
-    p = spec.proc
-    if isinstance(spec, ForwardInitSpec):
-        return (), (f"state:{p}", f"pred:{p}", f"bnd:{p}")
-    if isinstance(spec, ForwardFixupSpec):
-        return (f"bnd:{p - 1}", f"state:{p}"), (
-            f"state:{p}",
-            f"pred:{p}",
-            f"bnd:{p}",
-        )
-    if isinstance(spec, ObjectiveSpec):
-        return (f"state:{p}",), (f"obj:{p}",)
-    if isinstance(spec, BackwardInitSpec):
-        return (f"pred:{p}",), (f"path:{p}",)
-    if isinstance(spec, BackwardFixupSpec):
-        return (f"pred:{p}", f"path:{p + 1}"), (f"path:{p}",)
-    return (), ()  # unknown spec kinds order only by superstep barrier
-
-
 @dataclass(frozen=True)
 class Instruction:
-    """One pullable unit of work: a spec (or install) plus its edges.
+    """One unit of work: a spec (or install) for one slot.
 
     ``seq`` is the program-global sequence number (1-based, dense);
     ``step`` the superstep this instruction belongs to.  ``op`` is
     ``"spec"`` (execute ``spec`` against the slot's store) or
     ``"pred-install"`` (merge ``payload`` — redistributed predecessor
-    vectors — into the slot's store).  ``deps`` are the seqs whose
-    results this instruction's reads require; a work queue must not
-    deliver it before they are done.
+    vectors — into the slot's store).
     """
 
     seq: int
@@ -89,32 +46,22 @@ class Instruction:
     op: str = "spec"
     spec: SuperstepSpec | None = None
     payload: Any = None
-    reads: tuple[str, ...] = ()
-    writes: tuple[str, ...] = ()
-    deps: tuple[int, ...] = ()
-
-
-@dataclass
-class _Recorded:
-    result: SpecResult | None = None
 
 
 class InstructionProgram:
-    """Append-only compiled program + first-wins result ledger.
+    """Append-only compiled program plus the set of recorded seqs.
 
-    Thread-safe: runners record results concurrently while the driver
-    compiles the next superstep.  ``record_result`` is **first-wins** —
-    the driver-side half of the idempotency contract: when a duplicate
-    delivery races the original, exactly one result is kept, and it is
-    bit-identical to the other by spec determinism.
+    The owning runtime compiles, dispatches and records from one
+    thread, but a worker respawn triggered by *another* session on a
+    shared pool reads this journal from that session's thread — hence
+    the lock.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instructions: list[Instruction] = []  # guarded-by: self._lock
         self._by_slot: dict[int, list[Instruction]] = {}  # guarded-by: self._lock
-        self._recorded: dict[int, _Recorded] = {}  # guarded-by: self._lock
-        self._last_write: dict[str, int] = {}  # guarded-by: self._lock
+        self._recorded: set[int] = set()  # guarded-by: self._lock
         self._step = 0  # guarded-by: self._lock
 
     # -- compiling ------------------------------------------------------
@@ -126,93 +73,55 @@ class InstructionProgram:
         The step counter increments on every call — traced or not — so
         superstep numbering can never skew between trace spans, metrics
         records and instruction seqs.
-
-        Dependency edges follow barrier semantics: every read (and
-        write-after-write) resolves against the last writer *as of the
-        previous barrier* — a fix-up instruction's boundary input is
-        snapshotted into its spec, so its neighbour's same-superstep
-        write must not become an edge (it would falsely chain the
-        fix-up wave and serialize the runners).
         """
         with self._lock:
             self._step += 1
             step = self._step
-            instrs: list[Instruction] = []
-            pre_step_writes = dict(self._last_write)
-            for spec in specs:
-                seq = len(self._instructions) + 1
-                reads, writes = _dataflow(spec)
-                deps = sorted(
-                    {
-                        pre_step_writes[s]
-                        for s in (*reads, *writes)
-                        if s in pre_step_writes
-                    }
-                )
-                instr = Instruction(
-                    seq=seq,
+            instrs = [
+                Instruction(
+                    seq=len(self._instructions) + 1 + k,
                     step=step,
                     slot=spec.proc,
                     label=label,
-                    op="spec",
                     spec=spec,
-                    reads=reads,
-                    writes=writes,
-                    deps=tuple(deps),
                 )
-                self._instructions.append(instr)
-                self._by_slot.setdefault(spec.proc, []).append(instr)
-                for s in writes:
-                    self._last_write[s] = seq
-                instrs.append(instr)
+                for k, spec in enumerate(specs)
+            ]
+            self._instructions.extend(instrs)
+            for instr in instrs:
+                self._by_slot.setdefault(instr.slot, []).append(instr)
             return step, instrs
 
     def add_install(self, slot: int, payload: Any, label: str = "pred-install") -> Instruction:
         """Journal a driver-mediated predecessor install for ``slot``.
 
         Installs are synchronous (the driver barriers on them before
-        compiling any instruction that could read them), so they carry
-        no dataflow edges and do not register as last writers — they
-        exist so crash recovery replays them in slot order.
+        compiling any instruction that could read them); they exist in
+        the program so crash recovery replays them in slot order.
         """
         with self._lock:
-            seq = len(self._instructions) + 1
             instr = Instruction(
-                seq=seq,
+                seq=len(self._instructions) + 1,
                 step=self._step,
                 slot=slot,
                 label=label,
                 op="pred-install",
                 payload=payload,
-                writes=(f"pred:{slot}",),
             )
             self._instructions.append(instr)
             self._by_slot.setdefault(slot, []).append(instr)
             return instr
 
-    # -- the result ledger ---------------------------------------------
-    def record_result(self, seq: int, result: SpecResult | None = None) -> bool:
-        """Record ``seq``'s result; first delivery wins.
-
-        Returns True when this call recorded (first delivery), False
-        when the seq was already recorded (duplicate — a no-op).
-        """
+    # -- the journal ----------------------------------------------------
+    def record(self, seq: int) -> None:
+        """Mark ``seq`` as completed at a barrier (part of the replay)."""
         with self._lock:
-            if seq in self._recorded:
-                return False
-            self._recorded[seq] = _Recorded(result)
-            return True
+            self._recorded.add(seq)
 
     def is_recorded(self, seq: int) -> bool:
         with self._lock:
             return seq in self._recorded
 
-    def result(self, seq: int) -> SpecResult | None:
-        with self._lock:
-            rec = self._recorded.get(seq)
-            return rec.result if rec is not None else None
-
-    # -- introspection --------------------------------------------------
     @property
     def step_no(self) -> int:
         """Supersteps compiled so far (the solve-global counter)."""
@@ -223,10 +132,6 @@ class InstructionProgram:
         with self._lock:
             return len(self._instructions)
 
-    def instructions(self) -> list[Instruction]:
-        with self._lock:
-            return list(self._instructions)
-
     def slot_history(self, slot: int) -> list[Instruction]:
         """Every instruction compiled for ``slot``, in program order.
 
@@ -234,8 +139,7 @@ class InstructionProgram:
         a respawned worker owning ``slot``: re-running the recorded
         prefix rebuilds the slot's resident state bit-identically
         (spec determinism), while in-flight instructions — compiled but
-        not recorded — are excluded, matching PR 2's
-        journal-after-barrier discipline.
+        not recorded — are excluded.
         """
         with self._lock:
             return list(self._by_slot.get(slot, ()))

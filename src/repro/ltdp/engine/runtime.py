@@ -2,32 +2,27 @@
 
 A :class:`SuperstepRuntime` turns the plan layer's declarative
 :class:`~repro.ltdp.engine.specs.SuperstepSpec` lists into executed
-supersteps.  Since the store/program/runner split, a runtime is thin
-glue between three owning layers:
+supersteps.  A runtime is thin glue between two owning layers:
 
 - the **store** (:mod:`repro.ltdp.engine.store`) owns stage state —
   driver-resident (:class:`~repro.ltdp.engine.store.DriverStore`) here,
   worker-resident in :class:`~repro.ltdp.engine.poolrt.PoolRuntime`;
 - the **program** (:mod:`repro.ltdp.engine.program`) owns superstep
-  numbering, instruction seqs/dependencies and the first-wins result
-  ledger;
-- the **runners** (:mod:`repro.ltdp.engine.runner`) own concurrent
-  execution: with ``runners > 1`` (or a non-default
-  :class:`~repro.ltdp.engine.runner.DeliveryPolicy`) instructions are
-  pulled from a shared work queue by N runner threads instead of the
-  classic one-batch-per-barrier executor call.
+  numbering, instruction seqs and the crash-replay journal.
 
+Each superstep is exactly one dispatch — the paper's bulk-synchronous
+step (Figs 4/5): every processor runs one task between two barriers.
 Two implementations ship:
 
 - :class:`LocalRuntime` — stage state lives in the driver process;
-  specs are wrapped in closures and handed to any classic
-  :class:`~repro.machine.executor.Executor` (serial / thread pool /
-  fork-per-task processes), or executed directly by runner threads when
-  a crew is active.
+  specs are wrapped in closures and handed to a closure-running
+  :class:`~repro.machine.executor.Executor` (serial or thread pool) as
+  one ``run_superstep`` call.
 - :class:`~repro.ltdp.engine.poolrt.PoolRuntime` — stage state lives
   *inside* persistent worker processes
-  (:class:`~repro.machine.pool.PoolProcessExecutor`); only instructions
-  and boundary vectors cross process boundaries.
+  (:class:`~repro.machine.pool.PoolProcessExecutor`); each superstep is
+  one batched ``call_slots`` dispatch, and only instructions and
+  boundary vectors cross process boundaries.
 
 The driver (:mod:`repro.ltdp.engine.driver`) picks the runtime from the
 executor's capabilities, so ``solve_parallel``'s signature and results
@@ -43,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.ltdp.engine.program import InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
 from repro.ltdp.engine.specs import SpecResult, SuperstepSpec
 from repro.ltdp.engine.store import DriverStore
 from repro.ltdp.partition import StageRange
@@ -52,13 +46,6 @@ from repro.machine.executor import Executor
 from repro.machine.trace import Tracer
 
 __all__ = ["SuperstepRuntime", "LocalRuntime"]
-
-
-def _wants_crew(runners: int, delivery: DeliveryPolicy | None) -> bool:
-    """A crew is spun up for real concurrency *or* redelivery testing."""
-    if runners < 1:
-        raise ValueError(f"runners must be >= 1, got {runners}")
-    return runners > 1 or (delivery is not None and not delivery.is_default)
 
 
 class SuperstepRuntime(ABC):
@@ -122,57 +109,23 @@ class SuperstepRuntime(ABC):
 
 
 class LocalRuntime(SuperstepRuntime):
-    """Driver-resident state + any closure-running executor.
-
-    With ``runners > 1`` (or a redelivery-testing
-    :class:`~repro.ltdp.engine.runner.DeliveryPolicy`), supersteps run
-    through a :class:`~repro.ltdp.engine.runner.RunnerCrew`: instructions
-    are pulled from the shared work queue and executed *in the runner
-    threads* against the shared :class:`DriverStore` — safe because
-    specs only read their own range and buffer all writes, which the
-    driver applies after the barrier in spec order.
-    """
+    """Driver-resident state + any closure-running executor."""
 
     def __init__(
         self,
         executor: Executor,
         problem: LTDPProblem,
         tracer: Tracer | None = None,
-        runners: int = 1,
-        delivery: DeliveryPolicy | None = None,
     ) -> None:
         self.executor = executor
         self.problem = problem
         self.state = DriverStore(problem)
         self.tracer = tracer
         self.program = InstructionProgram()
-        self._crew: RunnerCrew | None = None
-        if _wants_crew(runners, delivery):
-            self._crew = RunnerCrew(
-                runners,
-                self._execute_instr,
-                self.program,
-                tracer=tracer,
-                policy=delivery,
-            )
-            # Teardown ordering (PR 2 weakref.finalize path): the crew
-            # must drain/abandon before the executor tears down.
-            if hasattr(executor, "add_teardown_hook"):
-                executor.add_teardown_hook(self._crew.close)
 
     @property
     def step_no(self) -> int:
         return self.program.step_no
-
-    def _execute_instr(self, instr) -> SpecResult:
-        """Runner-crew transport: execute one instruction inline.
-
-        Duplicate deliveries are harmless here: the spec reads only
-        pre-barrier store contents (writes are buffered in the result),
-        so a re-execution computes a bit-identical result and the
-        program's first-wins ledger keeps exactly one.
-        """
-        return instr.spec.execute(self.problem, self.state)
 
     def run(
         self, specs: Sequence[SuperstepSpec], label: str = ""
@@ -180,35 +133,17 @@ class LocalRuntime(SuperstepRuntime):
         problem, store = self.problem, self.state
         tracer = self.tracer
         step_no, instrs = self.program.add_superstep(specs, label)
-        if self._crew is not None:
-            if not tracer:
-                results = self._crew.run_step(instrs)
-            else:
-                t0 = time.perf_counter()
-                results = self._crew.run_step(instrs)
-                tracer.add_span(
-                    "superstep",
-                    t0,
-                    time.perf_counter(),
-                    superstep=step_no,
-                    label=label,
-                    procs=len(specs),
-                )
-        elif not tracer:
+        if not tracer:
             tasks = [
                 lambda spec=spec: spec.execute(problem, store) for spec in specs
             ]
             results = self.executor.run_superstep(tasks)
-            for instr, result in zip(instrs, results):
-                self.program.record_result(instr.seq, result)
         else:
 
             def timed(spec: SuperstepSpec):
-                # Per-task compute spans land in the tracer for in-process
-                # executors (serial / thread).  Under the fork-per-task
-                # executor the closure runs in a child and its span is
-                # lost with the fork; the superstep span below — recorded
-                # driver-side — still covers the barrier-to-barrier time.
+                # Per-task compute spans land in the tracer: both
+                # closure-running executors (serial / thread) run the
+                # task in this process.
                 def task():
                     c0 = time.perf_counter()
                     result = spec.execute(problem, store)
@@ -234,10 +169,7 @@ class LocalRuntime(SuperstepRuntime):
                 label=label,
                 procs=len(specs),
             )
-            for instr, result in zip(instrs, results):
-                self.program.record_result(instr.seq, result)
-        # Post-barrier application, in spec order regardless of which
-        # runner finished first — the store's seq guard additionally
+        # Post-barrier application, in spec order; the store's seq guard
         # makes a re-applied result a no-op.
         for instr, result in zip(instrs, results):
             store.apply(result, seq=instr.seq)
@@ -251,10 +183,3 @@ class LocalRuntime(SuperstepRuntime):
 
     def pred_vectors(self) -> list[np.ndarray | None]:
         return list(self.state.pred)
-
-    def finish(self) -> None:
-        if self._crew is not None:
-            self._crew.close()
-            if hasattr(self.executor, "remove_teardown_hook"):
-                self.executor.remove_teardown_hook(self._crew.close)
-            self._crew = None

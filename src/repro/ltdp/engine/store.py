@@ -1,26 +1,21 @@
 """The state-store layer: who *owns* stage state, behind one interface.
 
-Before this layer existed, state ownership was welded to spec
-execution: :class:`LocalRuntime` owned a driver-resident ``EngineState``
-and the pool runtime owned an unrelated per-slot worker store, each
-with its own ``apply`` discipline.  The refactor pulls both behind
-:class:`StateStore` — the :class:`~repro.ltdp.engine.specs.StageStore`
-read protocol plus idempotent post-barrier application — so the program
-and runner layers can treat "where the vectors live" as a deployment
-detail:
+:class:`StateStore` is the :class:`~repro.ltdp.engine.specs.StageStore`
+read protocol plus idempotent post-barrier application, so the
+runtimes can treat "where the vectors live" as a deployment detail:
 
 - :class:`DriverStore` — all stages in the driver process, shared by
   every spec (safe because specs only read their own range and all
   writes are buffered in :class:`~repro.ltdp.engine.specs.SpecResult`
   objects applied after the barrier);
 - :class:`WorkerStore` — one slot's stages resident inside a pool
-  worker, plus the per-instruction result cache that makes repeat
-  delivery of an instruction a worker-side no-op.
+  worker, plus the per-instruction result cache that makes a re-sent
+  instruction a worker-side no-op.
 
 Idempotency contract (numpywren's ``FailureTests``): ``apply`` tagged
 with an instruction sequence number applies **at most once** per seq —
-a re-delivered instruction's second application is dropped, so
-duplicate delivery can never double-install an update.
+a re-delivered instruction's second application is dropped, so a
+post-recovery re-send can never double-install an update.
 """
 
 from __future__ import annotations
@@ -44,16 +39,11 @@ class StateStore:
         #: Instruction seqs whose results were already applied here.
         self._applied_seqs: set[int] = set()
 
-    def apply(self, result: SpecResult, seq: int | None = None) -> None:
-        """Install a spec's stage-resident writes, at most once per ``seq``.
-
-        ``seq=None`` (legacy superstep-loop path) always applies —
-        the classic barrier loop never re-delivers.
-        """
-        if seq is not None:
-            if seq in self._applied_seqs:
-                return
-            self._applied_seqs.add(seq)
+    def apply(self, result: SpecResult, seq: int) -> None:
+        """Install a spec's stage-resident writes, at most once per ``seq``."""
+        if seq in self._applied_seqs:
+            return
+        self._applied_seqs.add(seq)
         self._apply(result)
 
     def _apply(self, result: SpecResult) -> None:
@@ -151,7 +141,7 @@ class WorkerStore(StateStore):
         self.fixup_state: dict[int, object] = {}
         self.fixup_input: dict[int, np.ndarray] = {}
         #: Instruction seq → stripped reply already produced by this
-        #: slot (the duplicate-delivery no-op cache).
+        #: slot (the re-send no-op cache).
         self.results: dict[int, SpecResult] = {}
 
     # -- StageStore protocol -------------------------------------------

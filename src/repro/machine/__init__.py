@@ -9,12 +9,12 @@ provides:
 - :mod:`repro.machine.cost_model` — a calibrated cost model converting
   work counts into seconds / throughput (the simulator's clock);
 - :mod:`repro.machine.executor` — executors that run one task per
-  virtual processor: serially (deterministic simulation), on threads,
-  or on forked processes (real parallelism on multi-core hosts);
+  virtual processor: serially (deterministic simulation) or on threads;
 - :mod:`repro.machine.pool` — the persistent worker-pool runtime:
   ``max_workers`` processes spawned once, reused across supersteps,
   with per-processor state resident in the workers so only boundary
-  vectors cross process boundaries (the paper's BSP cost model);
+  vectors cross process boundaries (the paper's BSP cost model) — the
+  executor for real parallelism on multi-core hosts;
 - :mod:`repro.machine.cluster` — :class:`SimCluster`, the machine
   description (processor count + cost parameters) benchmarks sweep over;
 - :mod:`repro.machine.trace` — :class:`Tracer`, the opt-in structured
@@ -37,7 +37,6 @@ from repro.machine.executor import (
     Executor,
     SerialExecutor,
     ThreadExecutor,
-    ProcessExecutor,
     get_executor,
 )
 from repro.machine.pool import PoolProcessExecutor
@@ -53,7 +52,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "PoolProcessExecutor",
     "get_executor",
     "EXECUTOR_KINDS",

@@ -91,10 +91,11 @@ class SimCluster:
 
         ``executor`` is an :class:`Executor` instance or a
         :func:`~repro.machine.executor.get_executor` kind
-        (``"serial" | "thread" | "process" | "pool"``); ``max_workers``
-        caps the real OS workers for the non-serial kinds.  The caller
-        owns the executor's lifecycle — call :meth:`close` (or the
-        executor's own ``close``) when done with a process-backed one.
+        (``"serial" | "thread" | "pool"``); ``max_workers`` caps the
+        real OS threads or worker processes for the non-serial kinds.
+        The caller owns the executor's lifecycle — call :meth:`close`
+        (or the executor's own ``close``) when done with a pool-backed
+        one.
         """
         if isinstance(executor, str):
             kwargs = {} if executor == "serial" else {"max_workers": max_workers}

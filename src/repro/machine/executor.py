@@ -11,13 +11,10 @@ need locks; they only differ in where the closures run:
 - :class:`ThreadExecutor` — a thread pool.  Real concurrency for
   NumPy-heavy kernels (NumPy releases the GIL inside ufuncs), real
   barrier behaviour; bounded by the GIL for Python-level work.
-- :class:`ProcessExecutor` — forked worker processes, one per task
-  (capped at ``max_workers`` concurrent forks).  True parallelism on
-  multi-core hosts.  Uses ``fork`` so closures and NumPy arrays are
-  inherited, with results returned over pipes.
 - :class:`~repro.machine.pool.PoolProcessExecutor` (in
   :mod:`repro.machine.pool`) — *persistent* worker processes spawned
-  once and reused across supersteps; the LTDP engine additionally keeps
+  once and reused across supersteps (``fork`` or ``spawn``); true
+  parallelism on multi-core hosts.  The LTDP engine additionally keeps
   per-processor stage state resident in them.
 
 All executors produce bit-identical results (the test-suite checks
@@ -26,9 +23,6 @@ this); on a single-core host only the simulated clock shows speedup.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -44,13 +38,12 @@ __all__ = [
     "CAPABILITY_NAMES",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
     "EXECUTOR_KINDS",
 ]
 
 #: Executor kinds :func:`get_executor` understands (CLI ``--executor``).
-EXECUTOR_KINDS = ("serial", "thread", "process", "pool")
+EXECUTOR_KINDS = ("serial", "thread", "pool")
 
 Task = Callable[[], Any]
 
@@ -60,13 +53,9 @@ class ExecutorCapabilities:
     """Typed capability declaration for an executor.
 
     Engine layers select fast paths by *asking* an executor what it
-    supports.  The previous convention —
-    ``getattr(executor, "supports_resident_state", False)`` — meant a
-    typoed capability name silently read as "unsupported" and quietly
-    disabled the fast path.  Capabilities are now a closed set of typed
-    fields; probing an undeclared name raises
-    (:func:`executor_capability`), so a typo is a loud error instead of
-    a silent slowdown.
+    supports.  Capabilities are a closed set of typed fields; probing an
+    undeclared name raises (:func:`executor_capability`), so a typo is a
+    loud error instead of a silent slowdown.
 
     Fields
     ------
@@ -141,14 +130,8 @@ class Executor(ABC):
         """Probe one declared capability; unknown names raise loudly."""
         return executor_capability(self, name)
 
-    @property
-    def supports_resident_state(self) -> bool:
-        """Legacy duck-typed probe, now derived from :attr:`capabilities`."""
-        return self.capability("resident_state")
-
     # -- closed-state guard ----------------------------------------------
-    # Lazy attribute (like the teardown hooks below): ABC subclasses
-    # don't all chain __init__.
+    # Lazy attribute: ABC subclasses don't all chain __init__.
 
     @property
     def closed(self) -> bool:
@@ -164,43 +147,12 @@ class Executor(ABC):
                 "again)"
             )
 
-    # -- teardown hooks --------------------------------------------------
-    # Higher layers that park threads on this executor's transport (the
-    # runner crew pulling from a work queue) register a hook so close()
-    # drains them *before* the transport disappears underneath them.
-    # Lazy storage: ABC subclasses don't all chain __init__.
-
-    def add_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Register ``hook`` to run first when this executor closes."""
-        hooks = getattr(self, "_teardown_hooks", None)
-        if hooks is None:
-            hooks = []
-            self._teardown_hooks = hooks
-        hooks.append(hook)
-
-    def remove_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Deregister ``hook`` (no-op when absent — finish() after close())."""
-        hooks = getattr(self, "_teardown_hooks", None)
-        if hooks and hook in hooks:
-            hooks.remove(hook)
-
-    def _drain_teardown_hooks(self) -> None:
-        """Pop and run every registered hook; called at the top of close()."""
-        hooks = getattr(self, "_teardown_hooks", None)
-        while hooks:
-            hook = hooks.pop()
-            try:
-                hook()
-            except Exception:  # repro: noqa[REP005]: teardown must reach the transport shutdown even if a hook fails
-                pass
-
     def close(self) -> None:
         """Release any worker resources and mark the executor closed.
 
         Idempotent; subsequent :meth:`run_superstep` calls raise
         :class:`ExecutorError`.
         """
-        self._drain_teardown_hooks()
         self._closed = True
 
     def __enter__(self) -> "Executor":
@@ -221,8 +173,7 @@ class SerialExecutor(Executor):
 class ThreadExecutor(Executor):
     """Thread-pool execution; real concurrency for GIL-releasing kernels.
 
-    Error contract (matching :class:`ProcessExecutor`): a raising task
-    cancels the superstep's not-yet-started siblings, drains the ones
+    Error contract: a raising task cancels the superstep's not-yet-started siblings, drains the ones
     already running, and surfaces as :class:`ExecutorError` naming both
     the 0-based task index and the 1-based processor slot it maps to,
     with the original exception chained.
@@ -251,97 +202,19 @@ class ThreadExecutor(Executor):
         return results
 
     def close(self) -> None:
-        # Drain runner crews first: a crew thread blocked on the work
-        # queue must observe abandonment before the pool stops accepting
-        # work, or shutdown(wait=True) could wait on tasks that never
-        # finish.
-        self._drain_teardown_hooks()
         self._pool.shutdown(wait=True)
         self._closed = True
 
 
-def _child_main(conn, task: Task) -> None:  # pragma: no cover - runs in fork
-    try:
-        result = task()
-        conn.send_bytes(pickle.dumps((True, result), protocol=pickle.HIGHEST_PROTOCOL))
-    except BaseException as exc:  # repro: noqa[REP005]: forked child must report every failure (incl. KeyboardInterrupt) over the pipe
-        try:
-            conn.send_bytes(pickle.dumps((False, repr(exc))))
-        except Exception:  # repro: noqa[REP005]: parent may already have closed the pipe; child exits either way
-            pass
-    finally:
-        conn.close()
-
-
-class ProcessExecutor(Executor):
-    """Fork-per-task execution: true multi-core parallelism.
-
-    Closures are inherited through ``fork`` (no pickling of the task),
-    results come back pickled over a pipe.  ``max_workers`` caps how
-    many forked children are alive at once (default: one per task);
-    supersteps with more tasks run them in ``max_workers``-sized waves.
-    Not available on platforms without ``fork`` (Windows); raises
-    :class:`ExecutorError` there.
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if not hasattr(os, "fork"):
-            raise ExecutorError("ProcessExecutor requires a fork-capable platform")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._ctx = mp.get_context("fork")
-
-    def run_superstep(self, tasks: Sequence[Task]) -> list[Any]:
-        self._check_open()
-        limit = self.max_workers or len(tasks) or 1
-        results: list[Any] = []
-        errors: list[str] = []
-        for start in range(0, len(tasks), limit):
-            wave = tasks[start : start + limit]
-            procs = []
-            conns = []
-            for task in wave:
-                parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(target=_child_main, args=(child_conn, task))
-                proc.start()
-                child_conn.close()
-                procs.append(proc)
-                conns.append(parent_conn)
-            for offset, (proc, conn) in enumerate(zip(procs, conns)):
-                try:
-                    ok, payload = pickle.loads(conn.recv_bytes())
-                except EOFError:
-                    ok, payload = (
-                        False,
-                        f"worker pid={proc.pid} died without a result",
-                    )
-                finally:
-                    conn.close()
-                proc.join()
-                if ok:
-                    results.append(payload)
-                else:
-                    errors.append(
-                        f"task {start + offset} (processor "
-                        f"{start + offset + 1}) failed: {payload}"
-                    )
-        if errors:
-            raise ExecutorError("; ".join(errors))
-        return results
-
-
 def get_executor(kind: str = "serial", **kwargs: Any) -> Executor:
-    """Factory: ``"serial"`` | ``"thread"`` | ``"process"`` | ``"pool"``.
+    """Factory: ``"serial"`` | ``"thread"`` | ``"pool"``.
 
-    ``thread``, ``process`` and ``pool`` accept ``max_workers``.
+    ``thread`` and ``pool`` accept ``max_workers``.
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(**kwargs)
-    if kind == "process":
-        return ProcessExecutor(**kwargs)
     if kind == "pool":
         from repro.machine.pool import PoolProcessExecutor
 

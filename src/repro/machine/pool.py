@@ -1,9 +1,9 @@
 """`PoolProcessExecutor`: a persistent, fault-tolerant worker-pool runtime.
 
-The legacy :class:`~repro.machine.executor.ProcessExecutor` forks one
-process *per task per superstep*, so a parallel LTDP solve with ``k``
-fix-up rounds pays ``P·(k+…)`` fork+pickle round-trips.  This pool
-spawns ``max_workers`` OS processes **once**, keeps them alive across
+Forking one process *per task per superstep* would make a parallel
+LTDP solve with ``k`` fix-up rounds pay ``P·(k+…)`` fork+pickle
+round-trips.  This pool spawns ``max_workers`` OS processes **once**
+(``fork`` where available, else ``spawn``), keeps them alive across
 supersteps (and across solves), and talks to them over pipes:
 
 - **generic tasks** — :meth:`run_superstep` ships picklable callables
@@ -189,9 +189,12 @@ class PoolProcessExecutor(Executor):
     capabilities = ExecutorCapabilities(resident_state=True, block_kernels=True)
 
     #: Shared mutable state and the lock that guards it (checked
-    #: statically by ``repro lint`` REP007).  Everything here is touched
-    #: by concurrent runner threads; ``_broken`` additionally has two
-    #: deliberate lock-free fast paths, waived at the access sites.
+    #: statically by ``repro lint`` REP007).  Everything here may be
+    #: touched from more than one thread at once: the serve layer's
+    #: batcher thread dispatches while the thread that owns the service
+    #: closes the pool or runs its own solves on a shared pool.
+    #: ``_broken`` additionally has two deliberate lock-free fast paths,
+    #: waived at the access sites.
     guarded_fields = {
         "_seq": "_state_lock",
         "dispatch_count": "_state_lock",
@@ -247,8 +250,9 @@ class PoolProcessExecutor(Executor):
         self._procs: list[Any] = []
         self._conns: list[Any] = []
         self._finalizer: weakref.finalize | None = None
-        # Concurrency: multiple runner threads may dispatch at once
-        # (instruction-at-a-time mode).  The state lock guards the
+        # Concurrency: several threads may dispatch at once (a serve
+        # batcher and ad-hoc solves sharing the pool) or close the pool
+        # while a dispatch is in flight.  The state lock guards the
         # shared counters / fault plan / spawn bookkeeping; per-worker
         # locks serialize pipe traffic so two dispatches to one worker
         # can never interleave frames.  RLocks: recovery paths nest
@@ -342,18 +346,6 @@ class PoolProcessExecutor(Executor):
         """Deregister ``owner``'s hook (no-op when absent)."""
         with self._state_lock:
             self._rebuild_hooks.pop(owner, None)
-
-    def set_rebuild_hook(
-        self, hook: Callable[[int], tuple[list, int]] | None
-    ) -> None:
-        """Single-session compatibility shim over :meth:`add_rebuild_hook`.
-
-        Registers ``hook`` under a default owner; ``None`` clears it.
-        """
-        if hook is None:
-            self.remove_rebuild_hook("__default__")
-        else:
-            self.add_rebuild_hook("__default__", hook)
 
     def set_tracer(self, tracer) -> None:
         """Attach a :class:`~repro.machine.trace.Tracer` (or ``None``).
@@ -586,9 +578,10 @@ class PoolProcessExecutor(Executor):
         """
         self._ensure_workers()
         self._check_broken()
-        # Serialize pipe traffic per worker: concurrent runner threads
-        # dispatching to the same worker take turns (sorted acquisition
-        # order keeps multi-worker dispatches deadlock-free).
+        # Serialize pipe traffic per worker: threads dispatching to the
+        # same worker (a serve batcher and an ad-hoc solve on a shared
+        # pool) take turns; sorted acquisition order keeps multi-worker
+        # dispatches deadlock-free.
         locks = [self._worker_locks[w] for w in sorted(per_worker)]
         for lock in locks:
             lock.acquire()
@@ -716,8 +709,8 @@ class PoolProcessExecutor(Executor):
     def run_superstep(self, tasks: Sequence[Task]) -> list[Any]:
         """Run picklable callables, task ``i`` on worker ``i % max_workers``.
 
-        Unlike the fork-per-task executor, tasks are shipped by pickle —
-        closures over local state will not survive the trip; use
+        Tasks are shipped by pickle — closures over local state will
+        not survive the trip; use
         module-level functions (the LTDP engine routes its work through
         :meth:`call_slots` instead, which the pool runtime feeds with
         declarative spec objects).  Tasks should be side-effect free:
@@ -823,15 +816,12 @@ class PoolProcessExecutor(Executor):
         executor is garbage-collected or the interpreter exits, via the
         ``weakref.finalize`` registered at spawn time.
 
-        Teardown ordering: registered teardown hooks (runner crews)
-        drain first — while the workers are still alive, so in-flight
-        instructions can finish or fail cleanly — and ``_closing``
-        blocks respawns from the moment teardown starts.
+        Teardown ordering: ``_closing`` blocks respawns from the moment
+        teardown starts.
         """
         with self._state_lock:
             self._closing = True
             self._closed = True
-        self._drain_teardown_hooks()
         finalizer = self._finalizer
         self._finalizer = None
         if finalizer is not None:

@@ -34,7 +34,7 @@ def traced_solve(problem, executor, tracer, **kwargs):
     return solve_parallel(problem, opts)
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+@pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
 def test_one_superstep_span_per_recorded_superstep(problem, kind):
     tracer = Tracer()
     with get_executor(kind, max_workers=2) as ex:

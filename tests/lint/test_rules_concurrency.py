@@ -459,7 +459,7 @@ class TestBlockingUnderLockNearMisses:
 
     def test_waiting_on_own_condition_is_exempt(self):
         # Condition.wait_for releases the condition it blocks on — the
-        # canonical WorkQueue.pull pattern.
+        # canonical blocking-queue pull pattern.
         r = run_lint(
             FAKE,
             """\

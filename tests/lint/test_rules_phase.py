@@ -73,11 +73,15 @@ class TestNearMisses:
 
     def test_canonical_span_names_accepted(self):
         src = (
-            'tracer.span("runner.pull", runner=1)\n'
-            'tracer.span("program.instr", seq=3)\n'
+            'tracer.span("superstep", superstep=1)\n'
+            'tracer.span("compute", proc=3)\n'
             'tracer.span("dispatch")\n'
         )
         assert codes(run_lint(PATH, src)) == []
+        # Names outside TRACE_SPAN_NAMES are findings.
+        assert codes(run_lint(PATH, 'tracer.span("runner.pull", runner=1)\n')) == [
+            "REP004"
+        ]
 
     def test_dynamic_span_name_is_not_checked(self):
         assert codes(run_lint(PATH, "tracer.span(name_var)\n")) == []

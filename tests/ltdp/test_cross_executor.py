@@ -1,11 +1,11 @@
 """Cross-executor equivalence: every runtime is bit-identical.
 
-The plan/runtime split means all four executors run the *same*
+The plan/runtime split means all three executors run the *same*
 declarative superstep specs; only where they execute differs.  This
 suite pins that down for every shipped problem family: ``path``,
 ``score`` and the fix-up iteration counts must match the serial
-baseline bit-for-bit — no tolerance — on the thread, fork-per-task
-process and persistent-pool runtimes alike.
+baseline bit-for-bit — no tolerance — on the thread and
+persistent-pool runtimes alike.
 """
 
 import multiprocessing as mp
@@ -77,7 +77,7 @@ def serial_solutions():
     return {name: solve_with(p, get_executor("serial")) for name, p in PROBLEMS.items()}
 
 
-@pytest.mark.parametrize("kind", ["thread", "process", "pool"])
+@pytest.mark.parametrize("kind", ["thread", "pool"])
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_executor_bit_identical_to_serial(name, kind, serial_solutions):
     base = serial_solutions[name]
@@ -140,7 +140,7 @@ def test_metrics_accounting_invariant_across_executors(name, kind, serial_soluti
 DELTA_WORKLOADS = ["lcs", "nw", "matrix", "sw"]
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+@pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
 @pytest.mark.parametrize("name", DELTA_WORKLOADS)
 def test_delta_mode_bit_identical_everywhere(name, kind, serial_solutions):
     """§4.7 delta mode is an optimization, never a semantic: with

@@ -7,7 +7,8 @@ from repro.exceptions import ExecutorError
 from repro.ltdp.matrix_problem import MatrixLTDPProblem, random_matrix_problem
 from repro.ltdp.parallel import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
-from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.machine.executor import SerialExecutor, ThreadExecutor
+from repro.machine.pool import PoolProcessExecutor
 from repro.semiring.tropical import NEG_INF
 
 
@@ -130,7 +131,7 @@ class TestScores:
                 return getattr(p, name)
 
         proxy = NoEdgeWeight()
-        from repro.ltdp.parallel import _price_path
+        from repro.ltdp.engine.driver import _price_path
 
         seq = solve_sequential(p, use_kernels=False)
         assert _price_path(proxy, seq.path) == seq.score
@@ -148,25 +149,25 @@ class TestExecutors:
         assert serial.score == threaded.score
         np.testing.assert_array_equal(serial.final_vector, threaded.final_vector)
 
-    def test_process_executor_identical(self, rng):
+    def test_pool_executor_identical(self, rng):
         p = random_matrix_problem(16, 4, rng, integer=True)
         serial = solve_parallel(p, num_procs=3, seed=3)
-        with ProcessExecutor() as ex:
-            forked = solve_parallel(
+        with PoolProcessExecutor(max_workers=2) as ex:
+            pooled = solve_parallel(
                 p, ParallelOptions(num_procs=3, seed=3, executor=ex)
             )
-        np.testing.assert_array_equal(serial.path, forked.path)
-        assert serial.score == forked.score
+        np.testing.assert_array_equal(serial.path, pooled.path)
+        assert serial.score == pooled.score
 
-    def test_process_executor_propagates_worker_errors(self):
+    def test_pool_executor_propagates_worker_errors(self):
         # Stage 1 collapses processor 1's vector to all--inf inside the
-        # forked worker; the failure must surface as ExecutorError.
+        # pool worker; the failure must surface as ExecutorError.
         bad = MatrixLTDPProblem(
             np.zeros(2),
             [np.full((2, 2), NEG_INF), np.zeros((2, 2))],
             allow_trivial=True,
         )
-        with ProcessExecutor() as ex:
+        with PoolProcessExecutor(max_workers=2) as ex:
             with pytest.raises(ExecutorError):
                 solve_parallel(bad, ParallelOptions(num_procs=2, executor=ex))
 

@@ -55,7 +55,7 @@ class TestExecutorDeclarations:
             try:
                 assert ex.capability("resident_state") is False
                 assert ex.capability("block_kernels") is True
-                assert ex.supports_resident_state is False
+                assert not hasattr(ex, "supports_resident_state")
             finally:
                 ex.close()
 
@@ -64,8 +64,7 @@ class TestExecutorDeclarations:
         try:
             assert pool.capability("resident_state") is True
             assert pool.capability("block_kernels") is True
-            # The legacy property survives, derived from the declaration.
-            assert pool.supports_resident_state is True
+            assert not hasattr(pool, "supports_resident_state")
         finally:
             pool.close()
 

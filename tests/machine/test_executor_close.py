@@ -12,11 +12,7 @@ from functools import partial
 import pytest
 
 from repro.exceptions import ExecutorError
-from repro.machine.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.machine.executor import SerialExecutor, ThreadExecutor
 from repro.machine.pool import PoolProcessExecutor
 
 
@@ -36,7 +32,6 @@ def make_tasks(n=3):
 FACTORIES = {
     "serial": SerialExecutor,
     "thread": lambda: ThreadExecutor(max_workers=2),
-    "process": lambda: ProcessExecutor(max_workers=2),
     "pool": lambda: PoolProcessExecutor(max_workers=2),
 }
 

@@ -1,15 +1,12 @@
 """Tests for the superstep executors."""
 
-import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ExecutorError
 from repro.machine.executor import (
     EXECUTOR_KINDS,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     get_executor,
@@ -42,8 +39,7 @@ class TestThreadExecutor:
             assert ex.run_superstep(make_tasks()) == [0, 1, 4, 9, 16]
 
     def test_exception_becomes_executor_error_with_index(self):
-        """Matches ProcessExecutor's contract: ExecutorError naming the
-        0-based task index and its 1-based processor slot, original
+        """ExecutorError naming the 0-based task index and its 1-based processor slot, original
         exception chained."""
 
         def ok():
@@ -88,98 +84,10 @@ class TestThreadExecutor:
         ex.close()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork required")
-class TestProcessExecutor:
-    def test_results_in_order(self):
-        with ProcessExecutor() as ex:
-            assert ex.run_superstep(make_tasks()) == [0, 1, 4, 9, 16]
-
-    def test_numpy_arrays_roundtrip(self):
-        arr = np.arange(100, dtype=np.float64)
-
-        def task():
-            return arr * 2
-
-        with ProcessExecutor() as ex:
-            (result,) = ex.run_superstep([task])
-        np.testing.assert_array_equal(result, arr * 2)
-
-    def test_closures_inherited_through_fork(self):
-        captured = {"value": 41}
-
-        def task():
-            return captured["value"] + 1
-
-        with ProcessExecutor() as ex:
-            assert ex.run_superstep([task]) == [42]
-
-    def test_worker_exception_becomes_executor_error(self):
-        def boom():
-            raise RuntimeError("worker exploded")
-
-        with ProcessExecutor() as ex:
-            with pytest.raises(ExecutorError, match="worker exploded"):
-                ex.run_superstep([boom])
-
-    def test_worker_death_detected(self):
-        def die():
-            os._exit(3)
-
-        with ProcessExecutor() as ex:
-            with pytest.raises(ExecutorError, match="died"):
-                ex.run_superstep([die])
-
-    def test_max_workers_accepted_and_results_ordered(self):
-        with ProcessExecutor(max_workers=2) as ex:
-            assert ex.run_superstep(make_tasks(7)) == [0, 1, 4, 9, 16, 25, 36]
-
-    def test_max_workers_caps_concurrent_forks(self):
-        """With max_workers=2, no more than 2 children exist at once."""
-
-        def count_children():
-            import multiprocessing as mp
-
-            return len(mp.active_children())
-
-        observed = []
-
-        def task():
-            # Each forked child sees the parent's children via /proc is
-            # not portable; instead record how many sibling pids exist
-            # from the parent's perspective after the wave started.
-            time.sleep(0.02)
-            return os.getpid()
-
-        ex = ProcessExecutor(max_workers=2)
-        import threading
-
-        stop = threading.Event()
-
-        def sampler():
-            while not stop.is_set():
-                observed.append(count_children())
-                time.sleep(0.005)
-
-        t = threading.Thread(target=sampler)
-        t.start()
-        try:
-            pids = ex.run_superstep([task for _ in range(6)])
-        finally:
-            stop.set()
-            t.join()
-        assert len(set(pids)) == 6  # still one fork per task...
-        assert max(observed, default=0) <= 2  # ...but never more than 2 alive
-
-    def test_invalid_max_workers(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=0)
-
-
 class TestFactory:
     def test_kinds(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("thread"), ThreadExecutor)
-        assert isinstance(get_executor("process"), ProcessExecutor)
         pool = get_executor("pool", max_workers=1)
         try:
             assert isinstance(pool, PoolProcessExecutor)
@@ -192,19 +100,17 @@ class TestFactory:
             ex = get_executor(kind, **kwargs)
             ex.close()
 
-    def test_process_accepts_max_workers_kwarg(self):
-        # Regression: this used to raise TypeError.
-        ex = get_executor("process", max_workers=3)
-        assert ex.max_workers == 3
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             get_executor("gpu")
+        assert "process" not in EXECUTOR_KINDS
+        with pytest.raises(ValueError):
+            get_executor("process")
 
     def test_all_executors_agree(self):
         tasks = make_tasks(8)
         expected = [t() for t in tasks]
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "thread"):
             ex = get_executor(kind)
             try:
                 assert ex.run_superstep(tasks) == expected

@@ -1,7 +1,6 @@
 """Tests for the persistent worker-pool executor.
 
-The pool's contract is what distinguishes it from the fork-per-task
-``ProcessExecutor``: workers are spawned once, their PIDs stay stable
+The pool's contract: workers are spawned once, their PIDs stay stable
 across supersteps *and* solves, and per-slot state survives between
 calls in the worker's namespace.
 """

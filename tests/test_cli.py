@@ -102,7 +102,7 @@ class TestSolve:
         names = {r.get("name") for r in records[1:]}
         assert {"superstep", "dispatch", "solve-start"} <= names
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
     def test_executor_flag(self, executor, capsys):
         rc = main(
             [
